@@ -185,7 +185,7 @@ fn main() {
     let mut ratio = f64::MIN;
     for _ in 0..ROUNDS {
         let t0 = Instant::now();
-        let (r, _) = run_sharded(&pool, &cfg);
+        let (r, (), _) = run_sharded(&pool, &cfg, &());
         let tp = t0.elapsed().as_secs_f64().max(1e-9);
         assert_eq!(r.submitted, requests);
         let t0 = Instant::now();

@@ -105,7 +105,7 @@ fn loss_core_workload(pool: &Pool, n: u64) -> Workload {
         ..ServiceConfig::default()
     };
     timed("loss_core", "requests_per_sec", n, || {
-        let (report, _) = run_sharded(pool, &cfg);
+        let (report, (), _) = run_sharded(pool, &cfg, &());
         assert_eq!(report.submitted, n);
     })
 }
@@ -120,7 +120,7 @@ fn open_loop_workload(pool: &Pool, n: u64) -> (Workload, ServiceStats) {
     };
     let mut out = None;
     let w = timed("open_loop", "requests_per_sec", n, || {
-        let (report, _) = run_sharded(pool, &cfg);
+        let (report, (), _) = run_sharded(pool, &cfg, &());
         assert_eq!(report.submitted, n);
         out = Some(report);
     });

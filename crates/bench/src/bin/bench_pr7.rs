@@ -137,7 +137,7 @@ fn loss_core_workload(pool: &Pool, n: u64, shadow: bool) -> Workload {
         "loss_core"
     };
     timed(id, "requests_per_sec", n, || {
-        let (report, _) = run_sharded(pool, &cfg);
+        let (report, (), _) = run_sharded(pool, &cfg, &());
         assert_eq!(report.submitted, n);
     })
 }
@@ -158,7 +158,7 @@ fn open_loop_workload(pool: &Pool, n: u64, shadow: bool) -> (Workload, ServiceSt
     };
     let mut out = None;
     let w = timed(id, "requests_per_sec", n, || {
-        let (report, _) = run_sharded(pool, &cfg);
+        let (report, (), _) = run_sharded(pool, &cfg, &());
         assert_eq!(report.submitted, n);
         out = Some(report);
     });

@@ -179,7 +179,7 @@ fn run_once(
     prof.time(section, || {
         let t0 = Instant::now();
         let scope = if cfg.scope_every == 0 {
-            let (report, _) = run_sharded(pool, cfg);
+            let (report, (), _) = run_sharded(pool, cfg, &());
             assert_eq!(report.submitted, cfg.requests);
             None
         } else {
@@ -238,7 +238,7 @@ fn main() {
 
     // Un-timed replay of the off run for its queueing stats (the timed
     // closures drop their reports to keep the hot loop lean).
-    let (service_report, _) = run_sharded(&pool, &open_cfg(open_n, 0));
+    let (service_report, (), _) = run_sharded(&pool, &open_cfg(open_n, 0), &());
     let service = ServiceStats {
         requests: service_report.submitted,
         admitted: service_report.classes.iter().map(|c| c.admitted).sum(),

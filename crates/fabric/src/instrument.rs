@@ -13,9 +13,7 @@
 use crate::controller::{CommitError, CommitReport, FabricController, FabricTarget};
 use crate::fleet::{OcsFleet, OcsId};
 use lightwave_ocs::instrument::OcsInstruments;
-use lightwave_telemetry::rollup::{PortPath, RollupTree};
 use lightwave_telemetry::{CounterId, EventKind, FleetTelemetry, HistogramId, RateWindow};
-use lightwave_trace::{Lane, SpanId, SpanKind, Tracer};
 use lightwave_units::Nanos;
 use std::collections::BTreeMap;
 
@@ -98,45 +96,6 @@ impl FabricInstruments {
     ///
     /// `at` is the simulation time the commit was issued.
     pub fn record_commit(&mut self, sink: &mut FleetTelemetry, at: Nanos, report: &CommitReport) {
-        self.record_commit_impl(sink, at, report, None);
-    }
-
-    /// [`Self::record_commit`] plus a causal span tree: one
-    /// [`SpanKind::FabricCommit`] on the control lane covering
-    /// `at..traffic_ready_at`, with each touched switch's
-    /// [`SpanKind::ReconfigCommit`] (and its four phases) as children.
-    /// Returns the commit span.
-    pub fn record_commit_traced(
-        &mut self,
-        sink: &mut FleetTelemetry,
-        tracer: &mut Tracer,
-        parent: Option<SpanId>,
-        at: Nanos,
-        report: &CommitReport,
-    ) -> SpanId {
-        let commit = tracer.begin(
-            Lane::Control,
-            parent,
-            at,
-            SpanKind::FabricCommit {
-                switches: report.per_switch.len() as u32,
-                added: report.added as u32,
-                removed: report.removed as u32,
-                untouched: report.untouched as u32,
-            },
-        );
-        self.record_commit_impl(sink, at, report, Some((tracer, commit)));
-        tracer.end(commit, report.traffic_ready_at.max(at));
-        commit
-    }
-
-    fn record_commit_impl(
-        &mut self,
-        sink: &mut FleetTelemetry,
-        at: Nanos,
-        report: &CommitReport,
-        mut trace: Option<(&mut Tracer, SpanId)>,
-    ) {
         let h = self.handles(sink);
         sink.metrics.inc(h.commits, at, 1);
         self.roll_commit_rate(sink, at);
@@ -185,37 +144,7 @@ impl FabricInstruments {
                 .per_switch
                 .entry(id)
                 .or_insert_with(|| OcsInstruments::register(sink, id));
-            match trace.as_mut() {
-                Some((tracer, commit)) => {
-                    inst.record_reconfig_traced(sink, tracer, Some(*commit), at, switch_report);
-                }
-                None => inst.record_reconfig(sink, at, switch_report),
-            }
-        }
-    }
-
-    /// Folds a committed transaction into the campus rollup tree: per
-    /// touched switch, the circuits moved (`fabric_commit_moves`) and
-    /// preserved (`fabric_commit_untouched`) at that switch's leaf
-    /// under `pod`, plus the fabric-wide settle time on the pod-level
-    /// pseudo-switch leaf `u32::MAX`.
-    pub fn roll_commit(tree: &mut RollupTree, pod: u32, at: Nanos, report: &CommitReport) {
-        let moves = tree.metric("fabric_commit_moves");
-        let kept = tree.metric("fabric_commit_untouched");
-        for (&id, r) in &report.per_switch {
-            let path = PortPath::new(pod, id, 0);
-            let delta = (r.added.len() + r.removed.len()) as f64;
-            tree.ingest(moves, path, at, delta);
-            tree.ingest(kept, path, at, r.untouched as f64);
-        }
-        if report.added > 0 {
-            let settle = report.traffic_ready_at.saturating_sub(at);
-            tree.record(
-                "fabric_settle_ms",
-                PortPath::new(pod, u32::MAX, 0),
-                at,
-                settle.as_millis_f64(),
-            );
+            inst.record_reconfig(sink, at, switch_report);
         }
     }
 
@@ -231,23 +160,6 @@ impl FabricInstruments {
         let report = controller.commit(target)?;
         self.record_commit(sink, at, &report);
         Ok(report)
-    }
-
-    /// [`Self::commit_observed`] with the span tree of
-    /// [`Self::record_commit_traced`]. Failed commits record and trace
-    /// nothing.
-    pub fn commit_observed_traced(
-        &mut self,
-        sink: &mut FleetTelemetry,
-        tracer: &mut Tracer,
-        parent: Option<SpanId>,
-        controller: &mut FabricController,
-        target: &FabricTarget,
-    ) -> Result<(CommitReport, SpanId), CommitError> {
-        let at = fleet_now(&controller.fleet);
-        let report = controller.commit(target)?;
-        let span = self.record_commit_traced(sink, tracer, parent, at, &report);
-        Ok((report, span))
     }
 
     /// Scrapes every switch in the fleet: health gauges, drift census,
@@ -303,53 +215,6 @@ mod tests {
                 ..
             }
         )));
-    }
-
-    #[test]
-    fn traced_commit_builds_the_span_tree() {
-        let mut sink = FleetTelemetry::new();
-        let mut tracer = Tracer::new(99);
-        let mut inst = FabricInstruments::register(&mut sink);
-        let mut c = FabricController::new(OcsFleet::build(2, 17));
-        let mut t = FabricTarget::new();
-        t.set(0, PortMapping::from_pairs([(0, 1), (2, 3)]).unwrap());
-        t.set(1, PortMapping::from_pairs([(5, 6)]).unwrap());
-        let (report, commit) = inst
-            .commit_observed_traced(&mut sink, &mut tracer, None, &mut c, &t)
-            .unwrap();
-        assert_eq!(report.added, 3);
-        assert_eq!(tracer.open_count(), 0, "commit span closed");
-        let spans = tracer.spans();
-        let root = spans.iter().find(|s| s.id == commit).unwrap();
-        assert!(matches!(
-            root.kind,
-            SpanKind::FabricCommit {
-                switches: 2,
-                added: 3,
-                ..
-            }
-        ));
-        let reconfigs: Vec<_> = spans
-            .iter()
-            .filter(|s| matches!(s.kind, SpanKind::ReconfigCommit { .. }))
-            .collect();
-        assert_eq!(reconfigs.len(), 2, "one per touched switch");
-        for r in &reconfigs {
-            assert_eq!(r.parent, Some(commit));
-        }
-        // Both switches added circuits ⇒ both get the 4-phase chain.
-        let phases = spans
-            .iter()
-            .filter(|s| matches!(s.kind, SpanKind::Phase { .. }))
-            .count();
-        assert_eq!(phases, 8);
-        // Metrics recorded exactly once (no double fan-out).
-        assert_eq!(
-            sink.metrics
-                .find("fabric_commits_total", &[])
-                .map(|v| format!("{v:?}")),
-            Some("Counter(1)".to_string())
-        );
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use crate::palomar::{OcsHealth, PalomarOcs, ReconfigReport};
 use crate::telemetry::{Alarm, AlarmCode};
-use lightwave_telemetry::rollup::{PortPath, RollupTree};
 use lightwave_telemetry::{
     AlarmCause, AlarmRecord, CounterId, EventKind, FleetHealth, FleetTelemetry, GaugeId,
     HistogramId, RateWindow,
@@ -217,41 +216,6 @@ impl OcsInstruments {
         }
         self.cursor = alarms.len();
         n
-    }
-
-    /// Folds a completed reconfiguration into the campus rollup tree:
-    /// circuits moved plus (when mirrors actually moved) the switch
-    /// duration in ms, attributed to this switch's leaf under `pod`.
-    pub fn roll_reconfig(
-        &self,
-        tree: &mut RollupTree,
-        pod: u32,
-        started: Nanos,
-        report: &ReconfigReport,
-    ) {
-        let path = PortPath::new(pod, self.switch, 0);
-        let moves = (report.added.len() + report.removed.len()) as f64;
-        tree.record("ocs_reconfig_moves", path, started, moves);
-        if !report.added.is_empty() {
-            let duration = report.ready_at.saturating_sub(started);
-            tree.record(
-                "ocs_switch_duration_ms",
-                path,
-                started,
-                duration.as_millis_f64(),
-            );
-        }
-    }
-
-    /// Folds the proactive-maintenance drift census into per-port
-    /// campus leaves: one sample per drifted port, north ports at their
-    /// id and south ports offset by `1 << 16` (port ids are `u16`).
-    pub fn roll_drift(&self, tree: &mut RollupTree, pod: u32, at: Nanos, ocs: &PalomarOcs) {
-        let m = tree.metric("ocs_loss_drift_db");
-        for (north, port, drift) in ocs.drift_report(Db(0.0)) {
-            let leaf = port as u32 | ((!north as u32) << 16);
-            tree.ingest(m, PortPath::new(pod, self.switch, leaf), at, drift.db());
-        }
     }
 
     /// One full scrape: health gauges, drift census, relock/reconfig

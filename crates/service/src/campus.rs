@@ -4,7 +4,8 @@
 //! [`CampusHealthDoc`].
 //!
 //! The cell model maps onto the campus hierarchy directly: each shard
-//! is one *pod* (its own fresh [`Superpod`]), each pod's OCS switches
+//! is one *pod* (its own fresh
+//! [`Superpod`](lightwave_superpod::Superpod)), each pod's OCS switches
 //! are the switch level, and admission outcomes drive the pod's
 //! error-budget ledger the same way [`crate::engine::ServiceEngine`]
 //! drives the flat [`SloTracker`](lightwave_telemetry::SloTracker).
@@ -13,12 +14,11 @@
 //! [`run_sharded_campus`] is byte-identical at any `LIGHTWAVE_THREADS`
 //! (DESIGN §6.9).
 
-use crate::arrivals::arrival;
-use crate::engine::{run_cell, ServiceConfig, CELL_STREAM};
+use crate::engine::{run_sharded, ServiceConfig};
 use crate::metrics::ServiceReport;
-use crate::queue::{RejectReason, ServiceCore, ServiceEvent};
-use lightwave_par::{splitmix, Pool, RunStats, Shard};
-use lightwave_superpod::Superpod;
+use crate::observe::{Batch, Observe};
+use crate::queue::{RejectReason, ServiceEvent};
+use lightwave_par::{Pool, RunStats};
 use lightwave_telemetry::rollup::{CampusHealthDoc, PortPath, RollupMetric, RollupTree};
 use lightwave_telemetry::slo::BurnRateLedger;
 use lightwave_telemetry::timeseries::Aggregate;
@@ -146,57 +146,25 @@ impl CampusObserver {
     }
 }
 
-/// [`run_cell`] with campus observability: the observer folds each
-/// event batch before it is cleared. The service report is identical
-/// to [`run_cell`]'s — observation never perturbs policy.
-pub fn run_cell_campus(cfg: &ServiceConfig, shard: Shard) -> (ServiceReport, CampusObserver) {
-    let mut pod = Superpod::new(splitmix(cfg.seed ^ CELL_STREAM, shard.index));
-    pod.set_shadow_check(cfg.shadow);
-    let mut core = ServiceCore::new(cfg.policy);
-    let mut obs = CampusObserver::new();
-    let pod_id = shard.index as u32;
-    let mut events = Vec::new();
-    let mut now = Nanos(0);
-    for i in shard.start..shard.start + shard.len {
-        let a = arrival(cfg.seed, i, cfg.mix);
-        now += cfg.scaled_gap(a.gap_unit_micros);
-        core.advance_to(&mut pod, now, &mut events);
-        core.submit(&mut pod, &a.intent, &mut events);
-        obs.observe(pod_id, &events);
-        events.clear();
+/// Each cell is one pod: the batch's cell index is the pod id.
+impl Observe for CampusObserver {
+    fn fold(&mut self, batch: Batch<'_>) {
+        self.observe(batch.cell as u32, batch.events);
     }
-    core.drain(&mut pod, &mut events);
-    obs.observe(pod_id, &events);
-    (core.report().clone(), obs)
+
+    fn merge(&mut self, next: CampusObserver) {
+        CampusObserver::merge(self, next);
+    }
 }
 
-/// [`run_sharded`](crate::engine::run_sharded) with campus
-/// observability: cells run [`run_cell_campus`] and both results merge
-/// in shard order, so the report **and** the snapshot built by
-/// [`CampusObserver::health_doc`] are byte-identical at any thread
-/// count.
+/// [`run_sharded`] with campus observability: the report **and** the
+/// snapshot built by [`CampusObserver::health_doc`] are byte-identical
+/// at any thread count.
 pub fn run_sharded_campus(
     pool: &Pool,
     cfg: &ServiceConfig,
 ) -> (ServiceReport, CampusObserver, RunStats) {
-    let ((report, obs), stats) = pool.run_shards(
-        cfg.seed,
-        cfg.requests,
-        cfg.shard_size,
-        |_rng, shard| run_cell_campus(cfg, shard),
-        |(mut a, mut oa), (b, ob)| {
-            a.merge(&b);
-            oa.merge(ob);
-            (a, oa)
-        },
-    );
-    (report, obs, stats)
-}
-
-/// Convenience: the bare (observability-off) cell — re-exported here so
-/// `bench_pr10` pairs the two modes side by side.
-pub fn run_cell_plain(cfg: &ServiceConfig, shard: Shard) -> ServiceReport {
-    run_cell(cfg, shard)
+    run_sharded(pool, cfg, &CampusObserver::new())
 }
 
 #[cfg(test)]
@@ -214,7 +182,7 @@ mod tests {
     #[test]
     fn campus_run_does_not_perturb_policy() {
         let cfg = cfg();
-        let (plain, _) = crate::engine::run_sharded(&Pool::new(2), &cfg);
+        let (plain, (), _) = run_sharded(&Pool::new(2), &cfg, &());
         let (campus, obs, _) = run_sharded_campus(&Pool::new(2), &cfg);
         assert_eq!(plain, campus);
         assert!(obs.rollup.ingested() > 0, "events were folded");

@@ -1,17 +1,22 @@
 //! The open-loop workload engine: millions of arrivals over real pods.
 //!
-//! Two drive modes share [`ServiceCore`]:
+//! One driver loop serves every mode: [`run_cell`] walks a cell's
+//! arrivals through `advance_to` → `submit`, then `drain`s, and hands
+//! each event batch to an [`Observe`] value.
 //!
 //! - [`run_sharded`] — the at-scale mode. The arrival index space is
 //!   split by [`plan_shards`](lightwave_par::plan_shards) into
 //!   independent *cells*: each shard runs its own fresh
 //!   [`Superpod`] + [`ServiceCore`] over its index range, and the
-//!   per-cell [`ServiceReport`]s merge in shard order. Arrivals are pure
-//!   per index and a cell touches nothing outside itself, so the merged
-//!   report is **byte-identical at any `LIGHTWAVE_THREADS`** — a year of
-//!   arrivals shards the same way a Monte-Carlo run does.
-//! - [`ServiceEngine`] — the observed mode. One cell with full
-//!   observability: per-class counters and [`RateWindow`] rates, wait
+//!   per-cell [`ServiceReport`]s and observers merge in shard order.
+//!   Arrivals are pure per index and a cell touches nothing outside
+//!   itself, so the merged outputs are **byte-identical at any
+//!   `LIGHTWAVE_THREADS`** — a year of arrivals shards the same way a
+//!   Monte-Carlo run does. [`run_sharded_scoped`] and
+//!   [`run_sharded_campus`](crate::run_sharded_campus) are this run with
+//!   a [`ScopeCollector`] or a [`CampusObserver`](crate::CampusObserver).
+//! - [`ServiceEngine`] — the observed mode. One cell whose observer is
+//!   full telemetry: per-class counters and [`RateWindow`] rates, wait
 //!   histograms, queue depth as a Perfetto counter track, SLO hooks, and
 //!   request-lifecycle spans (`Enqueue → Admit → Compose → Run →
 //!   Release`, with `Reject`/`Preempt` off the happy path) chained by
@@ -20,6 +25,7 @@
 use crate::arrivals::{arrival, Mix};
 use crate::intent::Priority;
 use crate::metrics::ServiceReport;
+use crate::observe::{Batch, Observe};
 use crate::queue::{PolicyConfig, RejectReason, ServiceCore, ServiceEvent};
 use crate::scope::{scope_span_id, ScopeCollector, ScopeReport};
 use lightwave_par::{splitmix, Pool, RunStats, Shard};
@@ -52,7 +58,8 @@ pub struct ServiceConfig {
     pub mix: Mix,
     /// Admission policy.
     pub policy: PolicyConfig,
-    /// Arrivals per cell in [`run_sharded`].
+    /// Arrivals per cell in [`run_sharded`] and its scoped and campus
+    /// wrappers. [`ServiceEngine`] always runs one cell.
     pub shard_size: u64,
     /// Requests (by index) given lifecycle spans in [`ServiceEngine`].
     pub trace_requests: u64,
@@ -61,10 +68,10 @@ pub struct ServiceConfig {
     /// default: it re-pays the old O(pod) cost per transaction and
     /// exists for equivalence proofs and in-run perf baselines.
     pub shadow: bool,
-    /// Scope-sampling period for [`run_cell_scoped`] /
-    /// [`run_sharded_scoped`] / [`ServiceEngine`]: 0 disables, 1 samples
-    /// every request, `n` samples ~1-in-`n` (pure in `(seed, request)` —
-    /// see [`crate::scope::scope_sampled`]).
+    /// Scope-sampling period of the [`ScopeCollector`] that
+    /// [`run_sharded_scoped`] and [`ServiceEngine`] build: 0 disables, 1
+    /// samples every request, `n` samples ~1-in-`n` (pure in `(seed,
+    /// request)` — see [`crate::scope::scope_sampled`]).
     pub scope_every: u64,
 }
 
@@ -93,9 +100,11 @@ impl ServiceConfig {
     }
 }
 
-/// Runs one independent service cell over `shard`'s index range and
-/// returns its report. Pure: same `(cfg, shard)` → same report.
-pub fn run_cell(cfg: &ServiceConfig, shard: Shard) -> ServiceReport {
+/// Runs one independent service cell over `shard`'s index range,
+/// handing every event batch to `obs`, and returns the cell's report.
+/// Pure: same `(cfg, shard)` → same report and same batches, whatever
+/// the observer (observation never perturbs policy).
+pub fn run_cell<O: Observe>(cfg: &ServiceConfig, shard: Shard, obs: &mut O) -> ServiceReport {
     let mut pod = Superpod::new(splitmix(cfg.seed ^ CELL_STREAM, shard.index));
     pod.set_shadow_check(cfg.shadow);
     let mut core = ServiceCore::new(cfg.policy);
@@ -106,71 +115,58 @@ pub fn run_cell(cfg: &ServiceConfig, shard: Shard) -> ServiceReport {
         now += cfg.scaled_gap(a.gap_unit_micros);
         core.advance_to(&mut pod, now, &mut events);
         core.submit(&mut pod, &a.intent, &mut events);
+        obs.fold(Batch {
+            cell: shard.index,
+            at: now,
+            queue_depth: core.queue_depth(),
+            events: &events,
+        });
         events.clear();
     }
-    core.drain(&mut pod, &mut events);
+    let end = core.drain(&mut pod, &mut events);
+    obs.fold(Batch {
+        cell: shard.index,
+        at: end,
+        queue_depth: core.queue_depth(),
+        events: &events,
+    });
     core.report().clone()
 }
 
-/// Shards `cfg.requests` arrivals across `pool` as independent cells and
-/// merges the reports in shard order. The report (not the
-/// [`RunStats`]) is byte-identical at any thread count.
-pub fn run_sharded(pool: &Pool, cfg: &ServiceConfig) -> (ServiceReport, RunStats) {
-    pool.run_shards(
+/// Shards `cfg.requests` arrivals across `pool` as independent cells,
+/// each observed by a clone of `fresh`, and merges the reports and the
+/// observers in shard order. Both (not the [`RunStats`]) are
+/// byte-identical at any thread count. Pass `&()` for a plain run.
+pub fn run_sharded<O>(pool: &Pool, cfg: &ServiceConfig, fresh: &O) -> (ServiceReport, O, RunStats)
+where
+    O: Observe + Clone + Send + Sync,
+{
+    let ((report, obs), stats) = pool.run_shards(
         cfg.seed,
         cfg.requests,
         cfg.shard_size,
-        |_rng, shard| run_cell(cfg, shard),
-        |mut a, b| {
-            a.merge(&b);
-            a
+        |_rng, shard| {
+            let mut obs = fresh.clone();
+            (run_cell(cfg, shard, &mut obs), obs)
         },
-    )
+        |(mut a, mut oa), (b, ob)| {
+            a.merge(&b);
+            oa.merge(ob);
+            (a, oa)
+        },
+    );
+    (report, obs, stats)
 }
 
-/// [`run_cell`] with scope attribution: the collector folds each event
-/// batch before it is cleared, so the cell also returns its
-/// [`ScopeReport`]. With `cfg.scope_every == 0` the scope report is
-/// empty and the service report equals [`run_cell`]'s.
-pub fn run_cell_scoped(cfg: &ServiceConfig, shard: Shard) -> (ServiceReport, ScopeReport) {
-    let mut pod = Superpod::new(splitmix(cfg.seed ^ CELL_STREAM, shard.index));
-    pod.set_shadow_check(cfg.shadow);
-    let mut core = ServiceCore::new(cfg.policy);
-    let mut scope = ScopeCollector::new(cfg.seed, cfg.scope_every);
-    let mut events = Vec::new();
-    let mut now = Nanos(0);
-    for i in shard.start..shard.start + shard.len {
-        let a = arrival(cfg.seed, i, cfg.mix);
-        now += cfg.scaled_gap(a.gap_unit_micros);
-        core.advance_to(&mut pod, now, &mut events);
-        core.submit(&mut pod, &a.intent, &mut events);
-        scope.observe(&events);
-        events.clear();
-    }
-    core.drain(&mut pod, &mut events);
-    scope.observe(&events);
-    (core.report().clone(), scope.finish())
-}
-
-/// [`run_sharded`] with scope attribution: cells run
-/// [`run_cell_scoped`] and both reports merge in shard order, so the
-/// pair is byte-identical at any thread count.
+/// [`run_sharded`] with scope attribution (see [`ScopeCollector`]).
+/// With `cfg.scope_every == 0` the scope report is empty.
 pub fn run_sharded_scoped(
     pool: &Pool,
     cfg: &ServiceConfig,
 ) -> (ServiceReport, ScopeReport, RunStats) {
-    let ((report, scope), stats) = pool.run_shards(
-        cfg.seed,
-        cfg.requests,
-        cfg.shard_size,
-        |_rng, shard| run_cell_scoped(cfg, shard),
-        |(mut a, mut sa), (b, sb)| {
-            a.merge(&b);
-            sa.merge(&sb);
-            (a, sa)
-        },
-    );
-    (report, scope, stats)
+    let (report, scope, stats) =
+        run_sharded(pool, cfg, &ScopeCollector::new(cfg.seed, cfg.scope_every));
+    (report, scope.finish(), stats)
 }
 
 struct ClassInstruments {
@@ -191,10 +187,6 @@ struct ClassInstruments {
 pub struct ServiceEngine {
     /// Engine configuration.
     pub cfg: ServiceConfig,
-    /// The policy state machine.
-    pub core: ServiceCore,
-    /// The pod being served.
-    pub pod: Superpod,
     /// Metrics + events + alarms + SLO.
     pub telemetry: FleetTelemetry,
     /// Request-lifecycle spans.
@@ -247,11 +239,7 @@ impl ServiceEngine {
             })
             .collect();
         let depth = series.series("svc_queue_depth", &[]);
-        let mut pod = Superpod::new(splitmix(cfg.seed ^ CELL_STREAM, 0));
-        pod.set_shadow_check(cfg.shadow);
         ServiceEngine {
-            core: ServiceCore::new(cfg.policy),
-            pod,
             telemetry,
             tracer: Tracer::new(cfg.seed),
             series,
@@ -266,29 +254,23 @@ impl ServiceEngine {
     }
 
     /// Runs the configured arrival stream to completion (including the
-    /// final drain) and returns the report.
+    /// final drain) through [`run_cell`], observing every batch, and
+    /// returns the report.
     pub fn run(&mut self) -> ServiceReport {
-        let mut events = Vec::new();
-        for i in 0..self.cfg.requests {
-            let a = arrival(self.cfg.seed, i, self.cfg.mix);
-            self.now += self.cfg.scaled_gap(a.gap_unit_micros);
-            self.core.advance_to(&mut self.pod, self.now, &mut events);
-            self.core.submit(&mut self.pod, &a.intent, &mut events);
-            self.apply(&std::mem::take(&mut events));
-            self.series
-                .push(self.depth, self.now, self.core.queue_depth() as f64);
-        }
-        self.now = self.core.drain(&mut self.pod, &mut events);
-        self.apply(&std::mem::take(&mut events));
-        self.series
-            .push(self.depth, self.now, self.core.queue_depth() as f64);
+        let cfg = self.cfg;
+        let cell = Shard {
+            index: 0,
+            start: 0,
+            len: cfg.requests,
+        };
+        let report = run_cell(&cfg, cell, self);
         // Close any root lifecycle span whose request never terminated
         // (possible only under injected faults): open spans would
         // otherwise be dropped from the export.
         for (_, span) in std::mem::take(&mut self.scope_roots) {
             self.tracer.end(span, self.now);
         }
-        self.core.report().clone()
+        report
     }
 
     /// The scope attribution so far (see
@@ -323,10 +305,15 @@ impl ServiceEngine {
         }
         span
     }
+}
 
-    fn apply(&mut self, events: &[ServiceEvent]) {
-        self.scope.observe(events);
-        for ev in events {
+/// The engine's telemetry, spans and queue-depth track, stamped with
+/// each batch's sim time.
+impl Observe for ServiceEngine {
+    fn fold(&mut self, batch: Batch<'_>) {
+        self.now = batch.at;
+        self.scope.observe(batch.events);
+        for ev in batch.events {
             match ev {
                 ServiceEvent::Enqueued { request, class, at } => {
                     let inst = &self.instruments[class.rank()];
@@ -504,6 +491,16 @@ impl ServiceEngine {
                 }
             }
         }
+        self.series
+            .push(self.depth, self.now, batch.queue_depth as f64);
+    }
+
+    /// # Panics
+    ///
+    /// Always: an engine observes one cell, and its spans and series
+    /// have no shard-order merge. Shard with mergeable observers instead.
+    fn merge(&mut self, _: ServiceEngine) {
+        panic!("a ServiceEngine observes exactly one cell and cannot merge");
     }
 }
 
@@ -521,8 +518,8 @@ mod tests {
     #[test]
     fn sharded_report_is_thread_count_invariant() {
         let cfg = small_cfg();
-        let (serial, _) = run_sharded(&Pool::new(1), &cfg);
-        let (quad, _) = run_sharded(&Pool::new(4), &cfg);
+        let (serial, (), _) = run_sharded(&Pool::new(1), &cfg, &());
+        let (quad, (), _) = run_sharded(&Pool::new(4), &cfg, &());
         assert_eq!(serial, quad);
         assert_eq!(serial.submitted, 600);
         assert!(serial.completed() > 0);
@@ -542,12 +539,13 @@ mod tests {
                 start: 0,
                 len: 600,
             },
+            &mut (),
         );
         assert_eq!(one.submitted, 600);
         let shards = lightwave_par::plan_shards(600, 300);
         let mut merged = ServiceReport::default();
         for s in shards {
-            merged.merge(&run_cell(&cfg, s));
+            merged.merge(&run_cell(&cfg, s, &mut ()));
         }
         assert_eq!(merged.submitted, 600);
         assert_eq!(one.invalid, merged.invalid, "validation is per index");
@@ -562,7 +560,11 @@ mod tests {
         });
         let report = engine.run();
         assert_eq!(report.submitted, 300);
-        engine.core.conservation().expect("requests conserved");
+        assert_eq!(
+            report.submitted,
+            report.invalid + report.compose_failed + report.blocked() + report.completed(),
+            "a drained cell conserves requests"
+        );
         let m = &engine.telemetry.metrics;
         let admitted: u64 = Priority::ALL
             .iter()
@@ -603,7 +605,7 @@ mod tests {
         let json4 = serde_json::to_string(&scope4.snapshot()).expect("serializes");
         assert_eq!(json, json4, "scope snapshot byte-identical");
         // Scoping never perturbs the policy.
-        assert_eq!(report, run_sharded(&Pool::new(2), &cfg).0);
+        assert_eq!(report, run_sharded(&Pool::new(2), &cfg, &()).0);
         assert!(scope.sampled > 0, "1-in-4 over 800 requests samples some");
         assert_eq!(scope.inflight, 0, "drained run leaves nothing in flight");
         let completed: u64 = scope.classes.iter().map(|c| c.sampled_completed).sum();
@@ -634,14 +636,17 @@ mod tests {
         };
         let mut engine = ServiceEngine::new(cfg);
         let report = engine.run();
-        let (cell_report, cell_scope) = run_cell_scoped(
+        let mut cell_scope = ScopeCollector::new(cfg.seed, cfg.scope_every);
+        let cell_report = run_cell(
             &cfg,
             Shard {
                 index: 0,
                 start: 0,
                 len: 400,
             },
+            &mut cell_scope,
         );
+        let cell_scope = cell_scope.finish();
         assert_eq!(report, cell_report, "observation does not perturb policy");
         let engine_scope = engine.scope_report();
         assert_eq!(
@@ -693,6 +698,7 @@ mod tests {
                 start: 0,
                 len: 400,
             },
+            &mut (),
         );
         let mut engine = ServiceEngine::new(cfg);
         assert_eq!(engine.run(), bare);

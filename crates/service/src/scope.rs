@@ -35,6 +35,7 @@
 //! never feeds an artifact: it is the overhead self-accounting harness.
 
 use crate::intent::Priority;
+use crate::observe::{Batch, Observe};
 use crate::queue::ServiceEvent;
 use lightwave_par::splitmix;
 use lightwave_telemetry::{ExemplarHistogram, ExemplarSnapshot};
@@ -791,6 +792,18 @@ impl ScopeCollector {
         self.report.inflight += self.live.len() as u64;
         self.report.gc();
         self.report
+    }
+}
+
+/// Merging finishes `next` (its in-flight requests count as
+/// `inflight`) and folds its report in; `self` keeps collecting.
+impl Observe for ScopeCollector {
+    fn fold(&mut self, batch: Batch<'_>) {
+        self.observe(batch.events);
+    }
+
+    fn merge(&mut self, next: ScopeCollector) {
+        self.report.merge(&next.finish());
     }
 }
 

@@ -143,46 +143,6 @@ impl CollectiveInstruments {
         }
         found
     }
-
-    /// Folds one simulated collective into the campus rollup tree: the
-    /// total time (seconds) on this pod's pseudo-switch leaf
-    /// `u32::MAX`, and detected stragglers as `pod_stragglers` samples.
-    pub fn roll_collective(
-        &self,
-        tree: &mut RollupTree,
-        at: Nanos,
-        run: &SimOutcome,
-        stragglers: &[Straggler],
-    ) {
-        let path = PortPath::new(self.pod, u32::MAX, 0);
-        tree.record("pod_collective_s", path, at, run.total);
-        for s in stragglers {
-            tree.record("pod_stragglers", path, at, s.slowdown_pct as f64 / 100.0);
-        }
-    }
-
-    /// [`Self::detect_stragglers`] plus an instant mark per flagged
-    /// dimension on the pod's timeline lane, so the detection moment is
-    /// visible in the Perfetto timeline next to the recovery spans.
-    pub fn detect_stragglers_traced(
-        &mut self,
-        sink: &mut FleetTelemetry,
-        tracer: &mut Tracer,
-        at: Nanos,
-        dims: &[usize],
-        healthy: &SimOutcome,
-        observed: &SimOutcome,
-    ) -> Vec<Straggler> {
-        let found = self.detect_stragglers(sink, at, dims, healthy, observed);
-        for s in &found {
-            tracer.instant(
-                Lane::Pod(self.pod),
-                at,
-                &format!("straggler dim={} +{}%", s.dim, s.slowdown_pct),
-            );
-        }
-        found
-    }
 }
 
 /// Renders a slice composition as a span tree: a
@@ -258,12 +218,9 @@ fn trace_topology_change(
 /// Folds a slice composition or release into the campus rollup tree:
 /// one `pod_slice_moves` sample per touched switch (at that switch's
 /// leaf under `pod`), plus a pod-scoped `pod_slice_settle_ms` sample on
-/// pseudo-switch `u32::MAX` when circuits were added. The superpod-side
-/// twin of [`FabricInstruments::roll_commit`] — same tree, same exact
-/// [`Aggregate`](lightwave_telemetry::Aggregate) folds.
-///
-/// [`FabricInstruments::roll_commit`]:
-///     lightwave_fabric::instrument::FabricInstruments::roll_commit
+/// pseudo-switch `u32::MAX` when circuits were added. The chaos world
+/// calls it on every compose and release, so it is how the superpod
+/// feeds the campus tree.
 pub fn roll_topology_change(tree: &mut RollupTree, pod: u32, at: Nanos, report: &CommitReport) {
     let moves = tree.metric("pod_slice_moves");
     for (&switch, sw) in &report.per_switch {

@@ -65,7 +65,7 @@ fn main() {
         pool.threads()
     );
     let t0 = std::time::Instant::now();
-    let (report, stats) = run_sharded(&pool, &cfg);
+    let (report, (), stats) = run_sharded(&pool, &cfg, &());
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(report.submitted, requests);
     println!(
@@ -97,8 +97,8 @@ fn main() {
         requests: if smoke { 1_500 } else { 4_000 },
         ..ServiceConfig::default()
     };
-    let (one, _) = run_sharded(&Pool::new(1), &small);
-    let (two, _) = run_sharded(&Pool::new(2), &small);
+    let (one, (), _) = run_sharded(&Pool::new(1), &small, &());
+    let (two, (), _) = run_sharded(&Pool::new(2), &small, &());
     assert_eq!(one, two, "thread count must not change the report");
     println!("  replay check: 1-thread and 2-thread reports identical");
 
@@ -144,7 +144,7 @@ fn main() {
             shard_size: n, // one cell: blocking is a pod-level statistic
             ..ServiceConfig::default()
         };
-        let (r, _) = run_sharded(&pool, &loss);
+        let (r, (), _) = run_sharded(&pool, &loss, &());
         let erlangs = 100.0 / gap_ms as f64;
         println!(
             "  E = {erlangs:>5.1} erlangs on 64 cubes: {:>6.2}% | {:>6.2}%",

@@ -14,14 +14,17 @@
 //!    joins: merging in any order yields identical state, and the
 //!    exemplar tie-break (larger value, then smaller request) is total.
 //! 3. **Thread-count invariance** — `run_sharded_scoped` snapshot JSON
-//!    is byte-identical at 1 vs 4 threads.
+//!    is byte-identical at 1 vs 4 threads, and so is the same collector
+//!    paired with a `CampusObserver` in one pass (which also matches a
+//!    separate campus run byte for byte).
 //! 4. **Self-consistency** — critical paths exist for every class that
 //!    completed work, their exemplar requests all have retained
 //!    timelines, and phase nanos sum to the timeline total.
 
 use lightwave::par::Pool;
 use lightwave::service::{
-    run_sharded_scoped, scope_sampled, scope_span_id, ScopePhase, ServiceConfig,
+    run_sharded, run_sharded_campus, run_sharded_scoped, scope_sampled, scope_span_id,
+    CampusObserver, ScopeCollector, ScopePhase, ServiceConfig,
 };
 use lightwave::telemetry::ExemplarHistogram;
 use proptest::prelude::*;
@@ -120,6 +123,22 @@ fn scope_report_is_thread_invariant_and_self_consistent() {
     let j1 = serde_json::to_string_pretty(&s1.snapshot()).expect("json");
     let j4 = serde_json::to_string_pretty(&s4.snapshot()).expect("json");
     assert_eq!(j1, j4, "scope snapshot JSON is byte-identical");
+
+    // Observers compose exactly: scope and campus folded as one pair in
+    // a single pass give the bytes of two separate runs.
+    let (_, mut campus, _) = run_sharded_campus(&Pool::new(2), &cfg);
+    let health = campus.health_doc().to_json();
+    let fresh = (
+        ScopeCollector::new(cfg.seed, cfg.scope_every),
+        CampusObserver::new(),
+    );
+    for threads in [1, 4] {
+        let (_, (scope, mut campus), _) = run_sharded(&Pool::new(threads), &cfg, &fresh);
+        let json = serde_json::to_string_pretty(&scope.finish().snapshot()).expect("json");
+        assert_eq!(json, j1, "paired scope at {threads} threads");
+        let paired_health = campus.health_doc().to_json();
+        assert_eq!(paired_health, health, "paired campus at {threads} threads");
+    }
 
     // Attribution accounting closes: everything sampled either finished,
     // was rejected, or was still in flight at drain.
