@@ -1,8 +1,10 @@
 //! Cross-PR throughput trajectory → a markdown table.
 //!
-//! Every perf PR pins a `BENCH_PR<N>.json` at the repo root. This tool
-//! merges them into one pivot table — rows are workload ids, columns
-//! are PRs — so a regression that creeps in across PRs (each one
+//! Every perf PR pins a `BENCH_PR<N>.json` at the repo root: the early
+//! ones in per-binary schemas (`lightwave/bench-prN/v1`, frozen history),
+//! later ones as a `lightwave/bench/v1` report of the `bench` binary.
+//! This tool merges them into one pivot table — rows are workload ids,
+//! columns are PRs — so a regression that creeps in across PRs (each one
 //! individually under its own gate) is visible at a glance. The table
 //! is pinned as a regenerable block in `EXPERIMENTS.md`:
 //!
@@ -13,9 +15,9 @@
 //!
 //! Caveat printed with the table: the per-PR numbers are wall-clock
 //! measurements from *different* runs (possibly different machines),
-//! so the trajectory is indicative; the enforced gates (`bench_pr7`'s
-//! shadow speedup, `bench_pr8`'s scope overhead) are in-run ratios and
-//! are the numbers that hard-fail.
+//! so the trajectory is indicative; the enforced gates (the `bench`
+//! report's `gates` table) are in-run ratios and are the numbers that
+//! hard-fail.
 
 use serde::Deserialize;
 use std::collections::BTreeMap;
@@ -24,11 +26,11 @@ use std::fmt::Write as _;
 /// The schema tag, read first to pick a parser.
 #[derive(Debug, Deserialize)]
 struct SchemaOnly {
-    /// `lightwave/bench-prN/v1`.
+    /// `lightwave/bench-prN/v1` or `lightwave/bench/v1`.
     schema: String,
 }
 
-/// `bench_pr2`-style workload: serial rate plus a parallel sweep.
+/// `lightwave/bench-pr2/v1` workload: serial rate plus a parallel sweep.
 #[derive(Debug, Deserialize)]
 struct Pr2Workload {
     id: String,
@@ -36,13 +38,13 @@ struct Pr2Workload {
     serial_per_sec: f64,
 }
 
-/// `bench_pr2` file shape.
+/// `lightwave/bench-pr2/v1` file shape.
 #[derive(Debug, Deserialize)]
 struct Pr2File {
     workloads: Vec<Pr2Workload>,
 }
 
-/// Flat workload (`bench_pr6` onward): one wall-clock rate.
+/// Flat workload (every later schema): one wall-clock rate.
 #[derive(Debug, Deserialize)]
 struct FlatWorkload {
     id: String,
@@ -50,7 +52,7 @@ struct FlatWorkload {
     per_sec: f64,
 }
 
-/// Flat file shape (`bench_pr6`, `bench_pr7`, `bench_pr8`, ...).
+/// Flat file shape (`lightwave/bench-pr5/v1` onward, `lightwave/bench/v1`).
 #[derive(Debug, Deserialize)]
 struct FlatFile {
     workloads: Vec<FlatWorkload>,
@@ -183,5 +185,40 @@ fn main() {
     if let Some(p) = out_path {
         std::fs::write(&p, &doc).expect("write trend table");
         println!("\nwrote {p}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+    use std::path::Path;
+
+    #[test]
+    fn every_pinned_record_parses_with_unique_rows() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut schemas = BTreeSet::new();
+        for entry in std::fs::read_dir(&root).expect("read repo root") {
+            let name = entry.expect("dir entry").file_name();
+            let name = name.to_string_lossy();
+            let Some(pr) = name
+                .strip_prefix("BENCH_PR")
+                .and_then(|rest| rest.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            let pr: u32 = pr.parse().expect("BENCH_PR<N>.json");
+            let text = std::fs::read_to_string(root.join(&*name)).expect("read record");
+            let bench = parse(pr, &text).unwrap_or_else(|e| panic!("skipping {name}: {e}"));
+            assert!(!bench.rows.is_empty(), "{name}: no workloads");
+            let ids: BTreeSet<&str> = bench.rows.iter().map(|r| r.0.as_str()).collect();
+            assert_eq!(ids.len(), bench.rows.len(), "{name}: repeated workload id");
+            let tag: SchemaOnly = serde_json::from_str(&text).expect("schema tag");
+            schemas.insert(tag.schema);
+        }
+        assert!(
+            schemas.contains("lightwave/bench/v1"),
+            "no record in the standing schema: {schemas:?}"
+        );
     }
 }

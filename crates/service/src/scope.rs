@@ -810,8 +810,8 @@ impl Observe for ScopeCollector {
 /// Scoped wall-clock self-accounting for the profiler's own overhead.
 ///
 /// This is the *only* wall-clock type in the scope layer, and its output
-/// never enters a deterministic artifact — `bench_pr8` prints it and
-/// gates on throughput ratios instead.
+/// never enters a deterministic artifact — the `request_scope` example
+/// prints it, and the `bench` binary gates on throughput ratios instead.
 #[derive(Debug, Clone, Default)]
 pub struct ScopeProfiler {
     sections: BTreeMap<&'static str, (u64, std::time::Duration)>,

@@ -26,7 +26,8 @@
 //! [`RollupTree::flat_campus`]: it is the ground truth the chaos
 //! invariant compares incremental node totals against after every
 //! injected event, the reference the proptests fold in arbitrary
-//! partition orders, and the baseline `bench_pr10` gates ≥10x against.
+//! partition orders, and the baseline the `bench` binary's `campus`
+//! group gates ≥10x against.
 //!
 //! [`CampusHealthDoc`] is the versioned queryable snapshot
 //! (`lightwave/campus-health/v1`): per-level rollups with a
@@ -344,7 +345,7 @@ impl RollupTree {
     /// The flat ground truth: campus totals re-folded from every leaf
     /// (scraped total ⊕ pending delta), one [`Aggregate`] per interned
     /// metric. O(ports) — the cost the incremental scrape avoids, kept
-    /// as the reference for invariants, proptests, and `bench_pr10`.
+    /// as the reference for invariants, proptests, and the `bench` binary.
     pub fn flat_campus(&self) -> Vec<Aggregate> {
         let mut out = vec![Aggregate::EMPTY; self.metrics.len()];
         for leaf in &self.leaves {

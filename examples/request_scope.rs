@@ -25,7 +25,7 @@
 //!    in `request_scope_trace.json`.
 //! 4. **The profiler** — the scope layer accounts for its own wall
 //!    clock with [`ScopeProfiler`] (the overhead gate itself lives in
-//!    `bench_pr8`).
+//!    the `bench` binary's `scope` group).
 
 use lightwave::par::Pool;
 use lightwave::service::{run_sharded_scoped, ScopeProfiler, ServiceConfig, ServiceEngine};
